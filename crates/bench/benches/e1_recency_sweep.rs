@@ -2,8 +2,8 @@
 //!
 //! Measures, for growing recency bounds `b`, the cost of exploring the `b`-bounded state
 //! space (modulo data isomorphism) of the paper's running example and of the enrollment
-//! workload. The companion example `recency_sweep` prints the state-count series recorded in
-//! EXPERIMENTS.md; this bench tracks the *time* dimension.
+//! workload. The companion example `recency_sweep` prints the state-count series; this bench
+//! tracks the *time* dimension.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdms_checker::{Explorer, ExplorerConfig};

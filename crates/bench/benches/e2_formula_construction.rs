@@ -1,9 +1,8 @@
 //! E2 — construction cost of the reduction formula (Section 6.6).
 //!
 //! The paper states that building `ϕ_valid ∧ ¬⌊ψ⌋` takes time
-//! `O((b + |R| + |acts|)^{O(a + n)})`. This bench measures the construction time (and, via
-//! the companion EXPERIMENTS.md table, the formula sizes) as `b` grows and as the schema
-//! grows, on the running example and on randomly generated DMSs.
+//! `O((b + |R| + |acts|)^{O(a + n)})`. This bench measures the construction time as `b`
+//! grows and as the schema grows, on the running example and on randomly generated DMSs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdms_checker::encoding::RunEncoder;

@@ -6,7 +6,9 @@
 //! not by compiling `ϕ_valid`, but by construction, walking the `b`-bounded configuration
 //! graph with canonical fresh values (every prefix it visits corresponds one-to-one to a
 //! valid abstract word, cf. `Abstr`/`Concr`) — and evaluates MSO-FO properties on the decoded
-//! run prefixes.
+//! run prefixes. As the paper reads a run as a word, a trace search gives every run position
+//! a *letter* (the truth of each `Q@x` atom there, see [`CompiledFormula`]) computed once and
+//! shared by every prefix through that position.
 //!
 //! Semantics offered (all relative to the chosen recency bound `b` and depth bound `k`):
 //!
@@ -83,11 +85,11 @@ use rdms_core::{
 };
 use rdms_db::metrics::{record_into, SearchCounters};
 use rdms_db::{answers, DataValue, HeapSize, Query};
-use rdms_logic::msofo::{eval_sentence, MsoFo};
+use rdms_logic::msofo::{CompiledFormula, Letter, MsoFo};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The number of worker threads used when [`ExplorerConfig`] does not pin one: the machine's
@@ -294,7 +296,9 @@ impl<'a> Explorer<'a> {
     /// # Panics
     ///
     /// When the request carries both a checkpoint and a workspace — a workspace manages
-    /// its own reuse, so the combination is a contract violation, not a fallback.
+    /// its own reuse, so the combination is a contract violation, not a fallback — and
+    /// when a property target is not a sentence (it has a free position or set variable):
+    /// the message names the free variables, and nothing has been explored yet.
     pub fn run(&self, request: CheckRequest<'_>) -> Verdict {
         let CheckRequest {
             target,
@@ -315,14 +319,16 @@ impl<'a> Explorer<'a> {
             return workspace.check();
         }
         match (target, checkpoint) {
-            (CheckTarget::Property(property), None) => {
-                let outcome = self.driver(false).search(
-                    ExtendedRun::new(self.dms.initial_bconfig()),
-                    |run: &ExtendedRun| !eval_sentence(&run.instances(), &property),
-                );
+            (CheckTarget::Property(property), checkpoint) => {
+                let property = compile_property(&property);
+                let is_hit = |node: &TraceNode| !node.satisfies(&property);
+                let outcome = match checkpoint {
+                    None => self.driver(false).search(self.trace_root(), is_hit),
+                    Some(checkpoint) => self.driver(false).resume(checkpoint, is_hit),
+                };
                 match outcome.hit {
                     Some(counterexample) => Verdict::Violated {
-                        counterexample,
+                        counterexample: counterexample.run,
                         stats: outcome.stats,
                         certificate: None,
                     },
@@ -330,25 +336,6 @@ impl<'a> Explorer<'a> {
                         // even with the frontier exhausted the verdict concerns prefixes
                         // up to the depth budget only; it is complete exactly when nothing
                         // was cut off by max_configs, the memory budget or a cancellation
-                        complete: !outcome.budget_cutoff
-                            && !outcome.memory_cutoff
-                            && !outcome.cancelled,
-                        stats: outcome.stats,
-                        certificate: None,
-                    },
-                }
-            }
-            (CheckTarget::Property(property), Some(checkpoint)) => {
-                let outcome = self.driver(false).resume(checkpoint, |run: &ExtendedRun| {
-                    !eval_sentence(&run.instances(), &property)
-                });
-                match outcome.hit {
-                    Some(counterexample) => Verdict::Violated {
-                        counterexample,
-                        stats: outcome.stats,
-                        certificate: None,
-                    },
-                    None => Verdict::Holds {
                         complete: !outcome.budget_cutoff
                             && !outcome.memory_cutoff
                             && !outcome.cancelled,
@@ -446,12 +433,23 @@ impl<'a> Explorer<'a> {
 
     /// Search for a `b`-bounded run prefix satisfying the property (finite-prefix
     /// semantics). Returns the witness prefix if found.
+    ///
+    /// # Panics
+    ///
+    /// When the property is not a sentence (see [`run`](Self::run)).
     pub fn find_witness(&self, property: &MsoFo) -> (Option<ExtendedRun>, CheckStats) {
-        let outcome = self.driver(false).search(
-            ExtendedRun::new(self.dms.initial_bconfig()),
-            |run: &ExtendedRun| eval_sentence(&run.instances(), property),
-        );
-        (outcome.hit, outcome.stats)
+        let property = compile_property(property);
+        let outcome = self
+            .driver(false)
+            .search(self.trace_root(), |node: &TraceNode| {
+                node.satisfies(&property)
+            });
+        (outcome.hit.map(|node| node.run), outcome.stats)
+    }
+
+    /// The root of a trace search: the empty prefix at the initial configuration.
+    fn trace_root(&self) -> TraceNode {
+        TraceNode::new(ExtendedRun::new(self.dms.initial_bconfig()))
     }
 
     /// Check a **state invariant**: the boolean FOL(R) query must hold in every reachable
@@ -515,9 +513,10 @@ impl<'a> Explorer<'a> {
 // the search driver
 // -----------------------------------------------------------------------------------------
 
-/// A frontier entry. [`ExtendedRun`] keeps the whole run prefix (needed for trace properties
-/// and counterexamples); [`TipNode`] keeps only the tip configuration (enough for state
-/// counting, and much cheaper to clone).
+/// A frontier entry. [`ExtendedRun`] keeps the whole run prefix (needed for
+/// counterexamples); [`TraceNode`] adds one letter per position for trace properties;
+/// [`TipNode`] keeps only the tip configuration (enough for state counting, and much cheaper
+/// to clone).
 pub(crate) trait SearchNode: Clone + Send {
     /// Whether nodes of this type serialise into checkpoint frontiers; checkpoint
     /// policies are ignored entirely for node types that do not.
@@ -589,6 +588,110 @@ impl SearchNode for TipNode {
             config: next,
             depth: self.depth + 1,
         }
+    }
+}
+
+/// Compile a trace property for a search, failing fast on a formula that is not a
+/// sentence (its free position or set variables have no value on a run prefix).
+fn compile_property(property: &MsoFo) -> CompiledFormula {
+    CompiledFormula::sentence(property).unwrap_or_else(|err| panic!("{err}"))
+}
+
+/// The trace-search node: a run prefix plus, parallel to its spine, one lazily computed
+/// [`Letter`] per position. Siblings share their ancestors' letter cells exactly as they
+/// share the run spine, so each position's atoms are evaluated once for the whole prefix
+/// tree rather than once per descendant prefix.
+#[derive(Clone)]
+pub(crate) struct TraceNode {
+    run: ExtendedRun,
+    letters: Arc<LetterCell>,
+}
+
+/// One position's letter cell; `parent` is the previous position's.
+struct LetterCell {
+    letter: OnceLock<Letter>,
+    parent: Option<Arc<LetterCell>>,
+}
+
+impl Drop for LetterCell {
+    /// Unlink uniquely owned ancestors iteratively, as the run spine does: the derived
+    /// drop would recurse once per position.
+    fn drop(&mut self) {
+        let mut next = self.parent.take();
+        while let Some(mut arc) = next {
+            next = Arc::get_mut(&mut arc).and_then(|cell| cell.parent.take());
+        }
+    }
+}
+
+impl TraceNode {
+    /// A node with every letter cell empty; the first evaluation fills them.
+    fn new(run: ExtendedRun) -> TraceNode {
+        let mut letters = Arc::new(LetterCell {
+            letter: OnceLock::new(),
+            parent: None,
+        });
+        for _ in 0..run.len() {
+            letters = Arc::new(LetterCell {
+                letter: OnceLock::new(),
+                parent: Some(letters),
+            });
+        }
+        TraceNode { run, letters }
+    }
+
+    /// Whether the prefix satisfies the compiled sentence. Fills the tip's letter cell —
+    /// and any ancestor cell still empty, as after a checkpoint resume — from the run's
+    /// instances first.
+    fn satisfies(&self, property: &CompiledFormula) -> bool {
+        let mut cells = Vec::with_capacity(self.run.len() + 1);
+        let mut cell = Some(&*self.letters);
+        while let Some(current) = cell {
+            cells.push(current);
+            cell = current.parent.as_deref();
+        }
+        cells.reverse();
+        if cells.iter().any(|cell| cell.letter.get().is_none()) {
+            for (cell, config) in cells.iter().zip(self.run.configs()) {
+                cell.letter
+                    .get_or_init(|| property.letter(config.instance()));
+            }
+        }
+        let letters: Vec<&Letter> = cells
+            .iter()
+            .map(|cell| cell.letter.get().expect("every cell was filled above"))
+            .collect();
+        property.holds(&letters)
+    }
+}
+
+impl SearchNode for TraceNode {
+    const CHECKPOINTABLE: bool = true;
+
+    fn tip(&self) -> &BConfig {
+        self.run.last()
+    }
+
+    fn depth(&self) -> usize {
+        self.run.len()
+    }
+
+    fn child(&self, step: Step, next: BConfig) -> Self {
+        TraceNode {
+            run: self.run.child(step, next),
+            letters: Arc::new(LetterCell {
+                letter: OnceLock::new(),
+                parent: Some(Arc::clone(&self.letters)),
+            }),
+        }
+    }
+
+    fn as_run(&self) -> Option<&ExtendedRun> {
+        Some(&self.run)
+    }
+
+    fn from_run(run: ExtendedRun) -> Option<Self> {
+        Some(TraceNode::new(run))
     }
 }
 
@@ -1654,6 +1757,39 @@ mod tests {
             Query::atom(r("R"), [u]),
         )));
         assert!(!witness.unwrap().is_empty());
+    }
+
+    #[test]
+    fn properties_that_are_not_sentences_are_rejected_before_the_search() {
+        use rdms_logic::msofo::{PosVar, SetVar};
+
+        let dms = example_3_1();
+        // x3 and X1 are free: no prefix assigns them a value
+        let open = MsoFo::query_at(Query::prop(r("p")), PosVar(3)).and(MsoFo::exists_pos(
+            PosVar(0),
+            MsoFo::In(PosVar(0), SetVar(1)),
+        ));
+        for threads in [1, 2] {
+            let explorer = Explorer::new(&dms, 2).with_config(
+                config(3, 2_000)
+                    .with_threads(threads)
+                    .with_parallel_threshold(0),
+            );
+            let searches: [&dyn Fn(); 2] = [&|| drop(explorer.check(&open)), &|| {
+                drop(explorer.find_witness(&open))
+            }];
+            for search in searches {
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(search))
+                    .expect_err("an open property must be refused");
+                let message = panic
+                    .downcast_ref::<String>()
+                    .expect("a formatted panic message");
+                assert_eq!(
+                    message, "the MSO-FO property is not a sentence: free x3, X1",
+                    "threads = {threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl fmt::Display for Verdict {
 }
 
 /// Statistics collected by a checking engine; serialisable so examples and benches can dump
-/// the records quoted in EXPERIMENTS.md.
+/// them as JSON records (the `recency_sweep` example prints one per bound).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CheckStats {
     /// Recency bound used.

@@ -5,73 +5,28 @@
 //! each case occurs, plus how often query evaluation could answer a probe from an
 //! already-built index.
 //!
-//! Two accounting levels exist:
-//!
-//! * **global** (relaxed atomics, process-wide): [`snapshot`] reads them; deltas between two
-//!   snapshots are approximate whenever several searches run at once;
-//! * **scoped** ([`SearchCounters`] + [`record_into`]): a consumer that wants *exact*
-//!   per-search figures allocates a [`SearchCounters`] and enters a recording scope on every
-//!   thread working for that search. All counter traffic issued by a thread inside a scope
-//!   is additionally tallied into the scope's counters (buffered thread-locally, flushed
-//!   when the scope guard drops), so concurrent unrelated searches never pollute each
-//!   other's numbers. The checking engines report these exact figures in their statistics.
+//! The counters are **scoped**: a consumer allocates a [`SearchCounters`] per logical
+//! search and enters a recording scope ([`record_into`]) on every thread working for that
+//! search. Counter traffic issued by a thread inside a scope is tallied into the scope's
+//! counters (buffered thread-locally, flushed when the scope guard drops), so the figures
+//! are exact per search and concurrent unrelated searches never pollute each other's
+//! numbers. Traffic outside every scope is not counted at all — an index probe or a
+//! copy-on-write clone costs one thread-local lookup, never a shared atomic. The checking
+//! engines report these figures in their statistics.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of per-counter shards. Each thread is pinned to one shard (round-robin), so the
-/// hot-loop increments issued by concurrent search workers land on different cache lines
-/// instead of all contending on a single atomic.
-const SHARDS: usize = 8;
-
-/// A cache-line-padded counter cell, so neighbouring shards do not false-share.
-#[repr(align(64))]
-struct Shard(AtomicU64);
-
-type Counter = [Shard; SHARDS];
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_COUNTER: Counter = [const { Shard(AtomicU64::new(0)) }; SHARDS];
-
 /// Relation handles shared by reference on an instance clone (one per relation per clone).
-static RELATIONS_SHARED: Counter = ZERO_COUNTER;
+const SHARED: usize = 0;
 /// Relations deep-copied because a shared handle was written to (clone-on-first-write).
-static RELATIONS_MATERIALIZED: Counter = ZERO_COUNTER;
+const MATERIALIZED: usize = 1;
 /// Probes answered through a per-relation index (first-column, per-column values, or the
 /// canonical-fragment cache).
-static INDEX_HITS: Counter = ZERO_COUNTER;
-/// Probes that had to build (or rebuild) the index or cache entry first.
-static INDEX_BUILDS: Counter = ZERO_COUNTER;
-
-/// The calling thread's shard index, assigned round-robin on first use.
-fn shard() -> usize {
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|cell| {
-        let mut index = cell.get();
-        if index == usize::MAX {
-            static NEXT: AtomicUsize = AtomicUsize::new(0);
-            index = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            cell.set(index);
-        }
-        index
-    })
-}
-
-fn total(counter: &Counter) -> u64 {
-    counter
-        .iter()
-        .map(|shard| shard.0.load(Ordering::Relaxed))
-        .sum()
-}
-
-/// The four counter kinds, used to index the scoped tallies.
-const SHARED: usize = 0;
-const MATERIALIZED: usize = 1;
 const HITS: usize = 2;
+/// Probes that had to build (or rebuild) the index or cache entry first.
 const BUILDS: usize = 3;
 
 /// Exact per-search counters. Allocate one per logical search, share it (`Arc`) with every
@@ -121,8 +76,8 @@ pub struct MetricsScope {
     tally: Rc<LocalTally>,
 }
 
-/// Start recording this thread's counter traffic into `counters` (in addition to the global
-/// counters) until the returned guard drops.
+/// Start recording this thread's counter traffic into `counters` until the returned guard
+/// drops.
 pub fn record_into(counters: &Arc<SearchCounters>) -> MetricsScope {
     let tally = Rc::new(LocalTally {
         target: Arc::clone(counters),
@@ -160,24 +115,18 @@ fn scoped_add(kind: usize, n: u64) {
 }
 
 pub(crate) fn count_shared(n: u64) {
-    RELATIONS_SHARED[shard()].0.fetch_add(n, Ordering::Relaxed);
     scoped_add(SHARED, n);
 }
 
 pub(crate) fn count_materialized() {
-    RELATIONS_MATERIALIZED[shard()]
-        .0
-        .fetch_add(1, Ordering::Relaxed);
     scoped_add(MATERIALIZED, 1);
 }
 
 pub(crate) fn count_index_hit() {
-    INDEX_HITS[shard()].0.fetch_add(1, Ordering::Relaxed);
     scoped_add(HITS, 1);
 }
 
 pub(crate) fn count_index_build() {
-    INDEX_BUILDS[shard()].0.fetch_add(1, Ordering::Relaxed);
     scoped_add(BUILDS, 1);
 }
 
@@ -227,16 +176,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Read the current counter values (summing every thread shard).
-pub fn snapshot() -> MetricsSnapshot {
-    MetricsSnapshot {
-        relations_shared: total(&RELATIONS_SHARED),
-        relations_materialized: total(&RELATIONS_MATERIALIZED),
-        index_hits: total(&INDEX_HITS),
-        index_builds: total(&INDEX_BUILDS),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,17 +204,21 @@ mod tests {
 
     #[test]
     fn counters_move_forward() {
-        let before = snapshot();
-        count_shared(3);
-        count_materialized();
-        count_index_hit();
-        count_index_build();
-        let delta = snapshot().since(&before);
-        // other tests may run concurrently, so only lower-bound the deltas
-        assert!(delta.relations_shared >= 3);
-        assert!(delta.relations_materialized >= 1);
-        assert!(delta.index_hits >= 1);
-        assert!(delta.index_builds >= 1);
+        let mine = Arc::new(SearchCounters::new());
+        let before = mine.snapshot();
+        {
+            let _scope = record_into(&mine);
+            count_shared(3);
+            count_materialized();
+            count_index_hit();
+            count_index_build();
+        }
+        let delta = mine.snapshot().since(&before);
+        // scoped counters see exactly this thread's traffic, so the deltas are exact
+        assert_eq!(delta.relations_shared, 3);
+        assert_eq!(delta.relations_materialized, 1);
+        assert_eq!(delta.index_hits, 1);
+        assert_eq!(delta.index_builds, 1);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * [`msofo`] — the MSO-FO syntax ([`MsoFo`]) and the semantics of Appendix B evaluated on
 //!   **finite run prefixes** ([`msofo::eval`]) — the form every checking engine in this
-//!   workspace consumes;
+//!   workspace consumes — through a formula compiled once into per-position *letters*
+//!   ([`msofo::CompiledFormula`]), which engines share across prefixes;
 //! * [`foltl`] — the FO-LTL fragment (`G`, `F`, `X`, `U` with rigid data quantification),
 //!   its finite-trace semantics, and its translation into MSO-FO (the paper notes
 //!   "reachability, repeated reachability, fairness, liveness, safety, FO-LTL, etc." are all

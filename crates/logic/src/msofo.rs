@@ -1,7 +1,7 @@
 //! MSO-FO: monadic second-order logic over runs with FOL(R) queries as atoms (Section 4 and
 //! Appendix B of the paper).
 
-use rdms_db::{eval as query_eval, Instance, Query, Substitution, Var};
+use rdms_db::{answers_within, eval as query_eval, DataValue, Instance, Query, Substitution, Var};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -381,66 +381,29 @@ impl RunAssignment {
 /// assignment (Appendix B semantics, with positions ranging over the prefix).
 ///
 /// The paper's runs are infinite; every verification engine in this workspace works with
-/// finite prefixes of a user-chosen depth (see DESIGN.md for the discussion of this
-/// substitution), so this evaluator is the reference semantics for those engines.
+/// finite prefixes of a user-chosen depth (the README's "Trace properties" section discusses
+/// this substitution), so this evaluator is the reference semantics for those engines.
 ///
 /// Note the Appendix B proviso on `Q@x`: the data substitution must land inside `adom(I_x)`;
 /// values outside make the atom false rather than erroneous.
+///
+/// This compiles the formula and computes one [`Letter`] per instance; engines that
+/// evaluate one formula on many prefixes sharing positions use [`CompiledFormula`] directly
+/// and reuse the letters.
+///
+/// # Panics
+///
+/// When a free position or set variable of the formula is not assigned, when an assigned
+/// set holds a position of 64 or more, or when a set quantifier ranges over more than 20
+/// positions (see [`CompiledFormula::holds_under`]).
 pub fn eval(run: &[Instance], assignment: &RunAssignment, formula: &MsoFo) -> bool {
-    match formula {
-        MsoFo::True => true,
-        MsoFo::QueryAt(q, x) => {
-            let i = assignment.pos[x];
-            let instance = &run[i];
-            let free: Vec<Var> = q.free_vars().into_iter().collect();
-            let sub = assignment.data.restrict(free.iter());
-            // every free data variable must be bound and denote an active value of I_x
-            let adom = instance.active_domain();
-            for u in &free {
-                match sub.get(*u) {
-                    Some(value) if adom.contains(&value) => {}
-                    _ => return false,
-                }
-            }
-            query_eval::holds(instance, &sub, q).unwrap_or(false)
-        }
-        MsoFo::Less(x, y) => assignment.pos[x] < assignment.pos[y],
-        MsoFo::PosEq(x, y) => assignment.pos[x] == assignment.pos[y],
-        MsoFo::In(x, set) => assignment.sets[set].contains(&assignment.pos[x]),
-        MsoFo::Not(p) => !eval(run, assignment, p),
-        MsoFo::And(a, b) => eval(run, assignment, a) && eval(run, assignment, b),
-        MsoFo::Or(a, b) => eval(run, assignment, a) || eval(run, assignment, b),
-        MsoFo::ExistsPos(x, p) => (0..run.len()).any(|i| {
-            let mut a = assignment.clone();
-            a.pos.insert(*x, i);
-            eval(run, &a, p)
-        }),
-        MsoFo::ForallPos(x, p) => (0..run.len()).all(|i| {
-            let mut a = assignment.clone();
-            a.pos.insert(*x, i);
-            eval(run, &a, p)
-        }),
-        MsoFo::ExistsSet(x, p) => subsets(run.len()).any(|s| {
-            let mut a = assignment.clone();
-            a.sets.insert(*x, s);
-            eval(run, &a, p)
-        }),
-        MsoFo::ForallSet(x, p) => subsets(run.len()).all(|s| {
-            let mut a = assignment.clone();
-            a.sets.insert(*x, s);
-            eval(run, &a, p)
-        }),
-        MsoFo::ExistsData(u, p) => global_adom(run).into_iter().any(|e| {
-            let mut a = assignment.clone();
-            a.data.bind(*u, e);
-            eval(run, &a, p)
-        }),
-        MsoFo::ForallData(u, p) => global_adom(run).into_iter().all(|e| {
-            let mut a = assignment.clone();
-            a.data.bind(*u, e);
-            eval(run, &a, p)
-        }),
-    }
+    let compiled = CompiledFormula::new(formula);
+    let letters: Vec<Letter> = run
+        .iter()
+        .map(|instance| compiled.letter(instance))
+        .collect();
+    let letters: Vec<&Letter> = letters.iter().collect();
+    compiled.holds_under(&letters, assignment)
 }
 
 /// Evaluate a sentence over a finite run prefix.
@@ -453,12 +416,490 @@ pub fn global_adom(run: &[Instance]) -> BTreeSet<rdms_db::DataValue> {
     run.iter().flat_map(|i| i.active_domain()).collect()
 }
 
-fn subsets(n: usize) -> impl Iterator<Item = BTreeSet<usize>> {
-    assert!(
-        n <= 20,
-        "second-order enumeration over {n} positions is infeasible; restrict to the FO fragment"
-    );
-    (0u64..(1u64 << n)).map(move |mask| (0..n).filter(|i| mask & (1 << i) != 0).collect())
+/// Largest prefix over which a set quantifier is enumerated (`2^n` candidate sets).
+const MAX_SET_POSITIONS: usize = 20;
+
+/// A formula that was required to be a sentence has free position or set variables.
+/// (Free data variables are allowed: unbound, they make their atoms false.)
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NotASentence {
+    /// The free position variables.
+    pub pos: Vec<PosVar>,
+    /// The free set variables.
+    pub sets: Vec<SetVar>,
+}
+
+impl fmt::Display for NotASentence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "the MSO-FO property is not a sentence: free")?;
+        let names = self
+            .pos
+            .iter()
+            .map(|x| format!("{x:?}"))
+            .chain(self.sets.iter().map(|s| format!("{s:?}")));
+        for (i, name) in names.enumerate() {
+            write!(f, "{}{name}", if i == 0 { " " } else { ", " })?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for NotASentence {}
+
+/// An MSO-FO formula compiled for evaluation over **letters**.
+///
+/// The paper reads a run as a word: `Q@x` looks at instance `x` alone, so everything a
+/// formula asks of one position can be computed once, from that position's instance, into
+/// a [`Letter`]. Compilation numbers the distinct FOL(R) atoms and moves every variable
+/// into a slot (positions as indices, sets as `u64` bitmasks, data values as options), so
+/// evaluating the formula over a prefix is a walk over slots and letter bits. An engine
+/// that evaluates one formula on many prefixes sharing their positions — the explorer's
+/// prefix tree — computes each position's letter once and shares it.
+#[derive(Clone, Debug)]
+pub struct CompiledFormula {
+    root: Node,
+    atoms: Vec<Atom>,
+    pos_slots: Vec<PosVar>,
+    set_slots: Vec<SetVar>,
+    data_slots: Vec<Var>,
+    free_pos: Vec<PosVar>,
+    free_sets: Vec<SetVar>,
+    /// Some atom has free data variables or the formula quantifies data: letters then
+    /// carry `adom(I_x)` (for the Appendix B proviso and for `Gadom`).
+    needs_adom: bool,
+    quantifies_data: bool,
+}
+
+/// One distinct FOL(R) query occurring under `@`.
+#[derive(Clone, Debug)]
+struct Atom {
+    query: Query,
+    /// Free data variables of the query, sorted: the column order of the answer table.
+    vars: Vec<Var>,
+    /// The data slot of each of `vars`.
+    slots: Vec<usize>,
+    /// Constants of the query (see [`CompiledFormula::letter`]).
+    constants: BTreeSet<DataValue>,
+}
+
+/// The compiled formula tree; variables are slot indices.
+#[derive(Clone, Debug)]
+enum Node {
+    True,
+    QueryAt { atom: usize, pos: usize },
+    Less(usize, usize),
+    PosEq(usize, usize),
+    In(usize, usize),
+    Not(Box<Node>),
+    And(Box<Node>, Box<Node>),
+    Or(Box<Node>, Box<Node>),
+    ExistsPos(usize, Box<Node>),
+    ForallPos(usize, Box<Node>),
+    ExistsSet(usize, Box<Node>),
+    ForallSet(usize, Box<Node>),
+    ExistsData(usize, Box<Node>),
+    ForallData(usize, Box<Node>),
+}
+
+/// What one run position contributes to a [`CompiledFormula`]'s evaluation: the truth of
+/// every atom at that position, computed once from the position's instance.
+///
+/// A letter belongs to the formula that computed it (atoms are indexed per formula).
+#[derive(Clone, Debug)]
+pub struct Letter {
+    /// `adom(I_x)`, sorted (empty when the formula never needs it).
+    adom: Vec<DataValue>,
+    atoms: Vec<AtomValue>,
+    /// The instance, kept only when some atom is [`AtomValue::PerBinding`].
+    instance: Option<Instance>,
+}
+
+#[derive(Clone, Debug)]
+enum AtomValue {
+    /// A query without free data variables: one bit.
+    Closed(bool),
+    /// The answers of a query with free data variables over `adom(I_x)`: rows of the
+    /// atom's `vars` columns, flattened and sorted.
+    Table(Vec<DataValue>),
+    /// The answer table could not be built exactly: evaluate per binding.
+    PerBinding,
+}
+
+impl CompiledFormula {
+    /// Compile any formula. Free variables are read from the assignment passed to
+    /// [`holds_under`](Self::holds_under).
+    pub fn new(formula: &MsoFo) -> CompiledFormula {
+        let mut compiler = Compiler::default();
+        let root = compiler.compile(formula);
+        let quantifies_data = compiler.quantifies_data;
+        let needs_adom = quantifies_data || compiler.atoms.iter().any(|a| !a.vars.is_empty());
+        CompiledFormula {
+            root,
+            atoms: compiler.atoms,
+            pos_slots: compiler.pos.into_iter().collect(),
+            set_slots: compiler.sets.into_iter().collect(),
+            data_slots: compiler.data.into_iter().collect(),
+            free_pos: formula.free_pos_vars().into_iter().collect(),
+            free_sets: formula.free_set_vars().into_iter().collect(),
+            needs_adom,
+            quantifies_data,
+        }
+    }
+
+    /// Compile a sentence: a formula with no free position or set variable (free data
+    /// variables stay allowed — unbound, their atoms are false). The error names the free
+    /// variables.
+    pub fn sentence(formula: &MsoFo) -> Result<CompiledFormula, NotASentence> {
+        let compiled = CompiledFormula::new(formula);
+        if compiled.free_pos.is_empty() && compiled.free_sets.is_empty() {
+            Ok(compiled)
+        } else {
+            Err(NotASentence {
+                pos: compiled.free_pos,
+                sets: compiled.free_sets,
+            })
+        }
+    }
+
+    /// The letter of one position: every atom evaluated on `instance`, with `adom(I_x)`
+    /// computed once and shared by the atoms.
+    ///
+    /// A closed atom is one bit from [`rdms_db::eval::holds`]. An open atom is its answer
+    /// table from [`answers_within`], whose universe is `adom(I_x)` extended with the
+    /// query's constants — so the table is used only when those constants are active at
+    /// `x` (then it agrees with `holds` binding by binding, which the reference semantics
+    /// uses). Otherwise, or when the answers cannot be enumerated (e.g.
+    /// [`rdms_db::DbError::AnswerSpaceOverflow`]), the atom is evaluated per binding.
+    pub fn letter(&self, instance: &Instance) -> Letter {
+        let adom = if self.needs_adom {
+            instance.active_domain()
+        } else {
+            BTreeSet::new()
+        };
+        let mut per_binding = false;
+        let atoms = self
+            .atoms
+            .iter()
+            .map(|atom| {
+                if atom.vars.is_empty() {
+                    return AtomValue::Closed(
+                        query_eval::holds(instance, &Substitution::empty(), &atom.query)
+                            .unwrap_or(false),
+                    );
+                }
+                if atom.constants.is_subset(&adom) {
+                    if let Ok(answers) = answers_within(instance, &adom, &atom.query) {
+                        return AtomValue::Table(answer_table(&atom.vars, &answers));
+                    }
+                }
+                per_binding = true;
+                AtomValue::PerBinding
+            })
+            .collect();
+        Letter {
+            adom: adom.into_iter().collect(),
+            atoms,
+            instance: per_binding.then(|| instance.clone()),
+        }
+    }
+
+    /// Evaluate the sentence over the prefix whose positions have these letters.
+    ///
+    /// # Panics
+    ///
+    /// As [`holds_under`](Self::holds_under) with the empty assignment (in particular when
+    /// the formula has a free position or set variable).
+    pub fn holds(&self, letters: &[&Letter]) -> bool {
+        self.holds_under(letters, &RunAssignment::new())
+    }
+
+    /// Evaluate the formula over the prefix whose positions have these letters, reading
+    /// free variables from `assignment`.
+    ///
+    /// # Panics
+    ///
+    /// When a free position or set variable is not assigned, when an assigned set holds a
+    /// position of 64 or more (set values are bitmasks), or when a set quantifier would
+    /// enumerate the subsets of more than 20 positions.
+    pub fn holds_under(&self, letters: &[&Letter], assignment: &RunAssignment) -> bool {
+        let mut evaluator = Evaluator {
+            letters,
+            atoms: &self.atoms,
+            pos: vec![usize::MAX; self.pos_slots.len()],
+            sets: vec![0; self.set_slots.len()],
+            data: self
+                .data_slots
+                .iter()
+                .map(|&u| assignment.data.get(u))
+                .collect(),
+            gadom: Vec::new(),
+            key: Vec::new(),
+        };
+        for x in &self.free_pos {
+            let slot = slot_of(&self.pos_slots, x);
+            evaluator.pos[slot] = *assignment
+                .pos
+                .get(x)
+                .unwrap_or_else(|| panic!("free position variable {x:?} is not assigned"));
+        }
+        for set in &self.free_sets {
+            let slot = slot_of(&self.set_slots, set);
+            let members = assignment
+                .sets
+                .get(set)
+                .unwrap_or_else(|| panic!("free set variable {set:?} is not assigned"));
+            evaluator.sets[slot] = members.iter().fold(0u64, |mask, &i| {
+                assert!(i < 64, "set variable {set:?} holds position {i}; sets are limited to positions below 64");
+                mask | 1 << i
+            });
+        }
+        if self.quantifies_data {
+            let gadom: BTreeSet<DataValue> = letters
+                .iter()
+                .flat_map(|letter| letter.adom.iter().copied())
+                .collect();
+            evaluator.gadom = gadom.into_iter().collect();
+        }
+        evaluator.eval(&self.root)
+    }
+}
+
+fn slot_of<T: Ord>(slots: &[T], var: &T) -> usize {
+    slots.binary_search(var).expect("every variable has a slot")
+}
+
+/// Lower answer substitutions to flat rows over `vars`, sorted and deduplicated.
+fn answer_table(vars: &[Var], answers: &[Substitution]) -> Vec<DataValue> {
+    let row = |sub: &Substitution| -> Vec<DataValue> {
+        vars.iter()
+            .map(|&u| sub.get(u).expect("answers bind every free variable"))
+            .collect()
+    };
+    let mut rows: Vec<Vec<DataValue>> = answers.iter().map(row).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    rows.concat()
+}
+
+/// Whether the flat sorted `table` of `arity`-wide rows contains `key`.
+fn table_contains(table: &[DataValue], arity: usize, key: &[DataValue]) -> bool {
+    let (mut lo, mut hi) = (0, table.len() / arity);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        match table[mid * arity..(mid + 1) * arity].cmp(key) {
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+/// Compilation state: the variables seen so far (their sorted position is their slot) and
+/// the distinct atoms.
+#[derive(Default)]
+struct Compiler {
+    pos: BTreeSet<PosVar>,
+    sets: BTreeSet<SetVar>,
+    data: BTreeSet<Var>,
+    quantifies_data: bool,
+    atoms: Vec<Atom>,
+}
+
+impl Compiler {
+    /// Collect every variable first (so slots are final), then lower the tree.
+    fn compile(&mut self, formula: &MsoFo) -> Node {
+        formula.visit(&mut |f| match f {
+            MsoFo::QueryAt(q, x) => {
+                self.pos.insert(*x);
+                self.data.extend(q.free_vars());
+            }
+            MsoFo::Less(x, y) | MsoFo::PosEq(x, y) => {
+                self.pos.insert(*x);
+                self.pos.insert(*y);
+            }
+            MsoFo::In(x, set) => {
+                self.pos.insert(*x);
+                self.sets.insert(*set);
+            }
+            MsoFo::ExistsPos(x, _) | MsoFo::ForallPos(x, _) => {
+                self.pos.insert(*x);
+            }
+            MsoFo::ExistsSet(set, _) | MsoFo::ForallSet(set, _) => {
+                self.sets.insert(*set);
+            }
+            MsoFo::ExistsData(u, _) | MsoFo::ForallData(u, _) => {
+                self.data.insert(*u);
+                self.quantifies_data = true;
+            }
+            _ => {}
+        });
+        self.lower(formula)
+    }
+
+    fn pos_slot(&self, x: &PosVar) -> usize {
+        self.pos.iter().position(|y| y == x).expect("collected")
+    }
+
+    fn set_slot(&self, set: &SetVar) -> usize {
+        self.sets.iter().position(|y| y == set).expect("collected")
+    }
+
+    fn data_slot(&self, u: &Var) -> usize {
+        self.data.iter().position(|v| v == u).expect("collected")
+    }
+
+    fn atom(&mut self, query: &Query) -> usize {
+        if let Some(i) = self.atoms.iter().position(|a| a.query == *query) {
+            return i;
+        }
+        let vars: Vec<Var> = query.free_vars().into_iter().collect();
+        let slots = vars.iter().map(|u| self.data_slot(u)).collect();
+        self.atoms.push(Atom {
+            query: query.clone(),
+            vars,
+            slots,
+            constants: query.constants(),
+        });
+        self.atoms.len() - 1
+    }
+
+    fn lower(&mut self, formula: &MsoFo) -> Node {
+        let sub = |this: &mut Self, p: &MsoFo| Box::new(this.lower(p));
+        match formula {
+            MsoFo::True => Node::True,
+            MsoFo::QueryAt(q, x) => Node::QueryAt {
+                atom: self.atom(q),
+                pos: self.pos_slot(x),
+            },
+            MsoFo::Less(x, y) => Node::Less(self.pos_slot(x), self.pos_slot(y)),
+            MsoFo::PosEq(x, y) => Node::PosEq(self.pos_slot(x), self.pos_slot(y)),
+            MsoFo::In(x, set) => Node::In(self.pos_slot(x), self.set_slot(set)),
+            MsoFo::Not(p) => Node::Not(sub(self, p)),
+            MsoFo::And(a, b) => Node::And(sub(self, a), sub(self, b)),
+            MsoFo::Or(a, b) => Node::Or(sub(self, a), sub(self, b)),
+            MsoFo::ExistsPos(x, p) => Node::ExistsPos(self.pos_slot(x), sub(self, p)),
+            MsoFo::ForallPos(x, p) => Node::ForallPos(self.pos_slot(x), sub(self, p)),
+            MsoFo::ExistsSet(s, p) => Node::ExistsSet(self.set_slot(s), sub(self, p)),
+            MsoFo::ForallSet(s, p) => Node::ForallSet(self.set_slot(s), sub(self, p)),
+            MsoFo::ExistsData(u, p) => Node::ExistsData(self.data_slot(u), sub(self, p)),
+            MsoFo::ForallData(u, p) => Node::ForallData(self.data_slot(u), sub(self, p)),
+        }
+    }
+}
+
+/// One evaluation: the slot values, `Gadom` (computed once) and a scratch key buffer.
+struct Evaluator<'a> {
+    letters: &'a [&'a Letter],
+    atoms: &'a [Atom],
+    pos: Vec<usize>,
+    sets: Vec<u64>,
+    data: Vec<Option<DataValue>>,
+    gadom: Vec<DataValue>,
+    key: Vec<DataValue>,
+}
+
+impl Evaluator<'_> {
+    fn eval(&mut self, node: &Node) -> bool {
+        match node {
+            Node::True => true,
+            Node::QueryAt { atom, pos } => self.query_at(*atom, self.pos[*pos]),
+            Node::Less(x, y) => self.pos[*x] < self.pos[*y],
+            Node::PosEq(x, y) => self.pos[*x] == self.pos[*y],
+            Node::In(x, set) => {
+                let i = self.pos[*x];
+                i < 64 && self.sets[*set] >> i & 1 == 1
+            }
+            Node::Not(p) => !self.eval(p),
+            Node::And(a, b) => self.eval(a) && self.eval(b),
+            Node::Or(a, b) => self.eval(a) || self.eval(b),
+            Node::ExistsPos(x, p) => self.over_positions(*x, p, true),
+            Node::ForallPos(x, p) => !self.over_positions(*x, p, false),
+            Node::ExistsSet(s, p) => self.over_sets(*s, p, true),
+            Node::ForallSet(s, p) => !self.over_sets(*s, p, false),
+            Node::ExistsData(u, p) => self.over_gadom(*u, p, true),
+            Node::ForallData(u, p) => !self.over_gadom(*u, p, false),
+        }
+    }
+
+    /// Whether `body` evaluates to `target` for some position bound to `slot` (∃ with
+    /// `target = true`; ∀ is the negation of the search for a `false`).
+    fn over_positions(&mut self, slot: usize, body: &Node, target: bool) -> bool {
+        let saved = self.pos[slot];
+        let mut found = false;
+        for i in 0..self.letters.len() {
+            self.pos[slot] = i;
+            if self.eval(body) == target {
+                found = true;
+                break;
+            }
+        }
+        self.pos[slot] = saved;
+        found
+    }
+
+    fn over_sets(&mut self, slot: usize, body: &Node, target: bool) -> bool {
+        let n = self.letters.len();
+        assert!(
+            n <= MAX_SET_POSITIONS,
+            "second-order enumeration over {n} positions is infeasible; restrict to the FO fragment"
+        );
+        let saved = self.sets[slot];
+        let mut found = false;
+        for mask in 0u64..(1u64 << n) {
+            self.sets[slot] = mask;
+            if self.eval(body) == target {
+                found = true;
+                break;
+            }
+        }
+        self.sets[slot] = saved;
+        found
+    }
+
+    fn over_gadom(&mut self, slot: usize, body: &Node, target: bool) -> bool {
+        let saved = self.data[slot];
+        let mut found = false;
+        for i in 0..self.gadom.len() {
+            self.data[slot] = Some(self.gadom[i]);
+            if self.eval(body) == target {
+                found = true;
+                break;
+            }
+        }
+        self.data[slot] = saved;
+        found
+    }
+
+    /// `Q@x`: the atom's bit, or — for an open atom — whether the binding of its free
+    /// variables is active at `x` (the Appendix B proviso) and is an answer there.
+    fn query_at(&mut self, atom: usize, x: usize) -> bool {
+        let letter = self.letters[x];
+        let spec = &self.atoms[atom];
+        if let AtomValue::Closed(bit) = letter.atoms[atom] {
+            return bit;
+        }
+        self.key.clear();
+        for &slot in &spec.slots {
+            match self.data[slot] {
+                Some(value) if letter.adom.binary_search(&value).is_ok() => self.key.push(value),
+                _ => return false,
+            }
+        }
+        match &letter.atoms[atom] {
+            AtomValue::Table(table) => table_contains(table, spec.vars.len(), &self.key),
+            _ => {
+                let binding = Substitution::from_pairs(
+                    spec.vars.iter().copied().zip(self.key.iter().copied()),
+                );
+                let instance = letter
+                    .instance
+                    .as_ref()
+                    .expect("a letter with per-binding atoms keeps its instance");
+                query_eval::holds(instance, &binding, &spec.query).unwrap_or(false)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -602,6 +1043,37 @@ mod tests {
             &a2,
             &MsoFo::query_at(Query::atom(r("Enrolled"), [u]), x(0))
         ));
+    }
+
+    #[test]
+    fn open_atoms_naming_an_inactive_constant_keep_the_active_domain_semantics() {
+        // Q(u) = A(u) ∧ ∀w. ¬(w = e5): quantifiers range over adom(I_x), where e5 does not
+        // occur, so Q(e1) holds at the only position. An answer table over adom ∪ {e5}
+        // would refute the ∀ on w = e5; the letter must not use one here.
+        let (u, w) = (v("u"), v("w"));
+        let run = vec![Instance::from_facts([(r("A"), vec![e(1)])])];
+        let q = Query::atom(r("A"), [u]).and(Query::forall(
+            w,
+            Query::eq(w, rdms_db::Term::Value(e(5))).not(),
+        ));
+        let phi = MsoFo::exists_data(u, MsoFo::exists_pos(x(0), MsoFo::query_at(q, x(0))));
+        assert!(eval_sentence(&run, &phi));
+    }
+
+    #[test]
+    fn compiled_formulas_refuse_free_position_and_set_variables() {
+        let phi = MsoFo::query_at(Query::prop(r("p")), x(2)).and(MsoFo::In(x(0), SetVar(4)));
+        let err = CompiledFormula::sentence(&phi).expect_err("x0, x2 and X4 are free");
+        assert_eq!(err.pos, vec![x(0), x(2)]);
+        assert_eq!(err.sets, vec![SetVar(4)]);
+        assert_eq!(
+            err.to_string(),
+            "the MSO-FO property is not a sentence: free x0, x2, X4"
+        );
+        // free data variables are allowed: unbound, their atoms are false
+        let open_data =
+            MsoFo::exists_pos(x(0), MsoFo::query_at(Query::atom(r("A"), [v("u")]), x(0)));
+        assert!(CompiledFormula::sentence(&open_data).is_ok());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Section 5 of the paper: "More runs are verified by increasing the bound on recency."
 //! This example quantifies that on two workloads, printing for each bound `b` the number of
 //! reachable abstract configurations (modulo data isomorphism), the number of run prefixes,
-//! and whether a chosen property's verdict changes. The numbers are the data series recorded
-//! in EXPERIMENTS.md (E1).
+//! and whether a chosen property's verdict changes. Each bound's numbers are also printed as
+//! one JSON record (the `json:` lines); bench `e1_recency_sweep` tracks the time dimension.
 //!
 //! Run with `cargo run --release --example recency_sweep`.
 

@@ -1,5 +1,6 @@
 //! End-to-end integration tests reproducing the paper's figures and worked examples
-//! (experiment index F1–F10 / T2 in DESIGN.md), spanning every crate of the workspace.
+//! (each test names what it covers: figures and examples F1–F10, and T2 for the Theorem 5.1
+//! pipeline), spanning every crate of the workspace.
 
 use rdms::checker::{Explorer, ExplorerConfig, RunEncoder};
 use rdms::core::counter::{binary_reduction, state_proposition, unary_reduction};
