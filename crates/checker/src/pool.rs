@@ -152,12 +152,28 @@ fn worker_loop(pool: &'static Pool) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// [`run`] from a test: the pool is process-wide and the test harness runs tests on
+    /// several threads, so another test (or a parallel search in one) may hold it. A
+    /// refused `run` executes nothing, so retrying it until the pool is free is exact;
+    /// the time limit turns a pool that never frees up into a failure, not a hang.
+    fn run_when_free(slots: usize, job: &(dyn Fn(usize) + Sync)) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !run(slots, job) {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
 
     #[test]
     fn runs_every_slot_exactly_once_and_is_reusable() {
         for round in 0..3 {
             let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-            let ran = run(4, &|slot| {
+            let ran = run_when_free(4, &|slot| {
                 hits[slot].fetch_add(1, Ordering::SeqCst);
             });
             assert!(ran, "pool must be free in round {round}");
@@ -171,7 +187,7 @@ mod tests {
     fn jobs_may_borrow_the_callers_stack() {
         let inputs: Vec<usize> = (0..8).collect();
         let total = AtomicUsize::new(0);
-        assert!(run(8, &|slot| {
+        assert!(run_when_free(8, &|slot| {
             total.fetch_add(inputs[slot] * 2, Ordering::SeqCst);
         }));
         assert_eq!(total.load(Ordering::SeqCst), 2 * (0..8).sum::<usize>());
@@ -180,7 +196,7 @@ mod tests {
     #[test]
     fn nested_runs_report_busy_instead_of_deadlocking() {
         let inner_result = Mutex::new(None);
-        assert!(run(2, &|slot| {
+        assert!(run_when_free(2, &|slot| {
             if slot == 0 {
                 let ran = run(2, &|_| {});
                 *inner_result.lock().unwrap() = Some(ran);
@@ -196,7 +212,7 @@ mod tests {
     #[test]
     fn slot_panics_resurface_on_the_caller() {
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            run(3, &|slot| {
+            run_when_free(3, &|slot| {
                 if slot == 1 {
                     panic!("boom in slot 1");
                 }
@@ -204,6 +220,6 @@ mod tests {
         }));
         assert!(caught.is_err());
         // and the pool is usable again afterwards
-        assert!(run(2, &|_| {}));
+        assert!(run_when_free(2, &|_| {}));
     }
 }

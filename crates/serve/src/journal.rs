@@ -32,6 +32,7 @@
 
 use crate::protocol::ErrorCode;
 use crate::session::Session;
+use rdms_core::RecencySemantics;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -435,19 +436,33 @@ pub fn parse_journal(bytes: &[u8]) -> Option<ParsedJournal> {
     })
 }
 
-/// A drain-time snapshot of a live session: the run spine plus the counters that cannot
-/// be recomputed without re-evaluating the invariant per configuration.
+/// A drain-time snapshot of a live session: the run plus the counters that cannot be
+/// recomputed without re-evaluating the invariant per configuration.
 ///
 /// Written beside the journal as `session-<id>.checkpoint` when a session leaves the
 /// server without a clean `Close` (drain, eviction) and the server journals. At boot,
 /// recovery **prefers** a checkpoint consistent with the journal: the session is rebuilt
 /// from the snapshot ([`IncrementalChecker::resume`](rdms_checker::IncrementalChecker),
-/// no per-step re-validation) and only the journal records *past* the snapshot are
+/// no invariant re-evaluation) and only the journal records *past* the snapshot are
 /// replayed — so rebooting under a long verification costs the suffix since the last
 /// drain, not the whole session. Any inconsistency (bound, DMS or invariant mismatch, a
 /// run longer than the journal) falls back to full journal replay, which validates every
 /// transition.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// # On-disk form
+///
+/// Every configuration of a run follows from the one before it by the step's action and
+/// substitution (`α:σ`), so the checkpoint stores the **accepted steps**, not the
+/// configurations: a JSON object with the fields `dms`, `bound`, `invariant`,
+/// `emit_certificates`, `steps` (the run's [`Step`](rdms_core::Step) labels, in order),
+/// `violations` and `first_violation_len`. Its size grows linearly with the run.
+/// Decoding rebuilds `run` with [`RecencySemantics::execute`], which **re-validates every
+/// step** against the checkpoint's own DMS and bound; a step that does not replay fails
+/// the decode, so [`read_snapshot`] returns `None` and recovery falls back to full
+/// journal replay — the checkpoint bytes never have to be trusted. A checkpoint in the
+/// older form (a `run` field holding every configuration) has no `steps` and is ignored
+/// the same way: one full replay, after which the next drain writes the new form.
+#[derive(Clone, Debug)]
 pub struct SessionSnapshot {
     /// The session's DMS.
     pub dms: rdms_core::Dms,
@@ -458,12 +473,58 @@ pub struct SessionSnapshot {
     pub invariant: rdms_db::Query,
     /// Whether the session emits violation certificates.
     pub emit_certificates: bool,
-    /// The run spine at snapshot time.
+    /// The run spine at snapshot time (on disk: its steps only, see above).
     pub run: rdms_core::ExtendedRun,
     /// Accepted transactions (plus possibly the initial configuration) that violated φ.
     pub violations: usize,
     /// Length of the first violating prefix, if one was observed.
     pub first_violation_len: Option<usize>,
+}
+
+impl Serialize for SessionSnapshot {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut state = serializer.serialize_struct("SessionSnapshot", 7)?;
+        state.serialize_field("dms", &self.dms)?;
+        state.serialize_field("bound", &self.bound)?;
+        state.serialize_field("invariant", &self.invariant)?;
+        state.serialize_field("emit_certificates", &self.emit_certificates)?;
+        state.serialize_field("steps", &self.run.steps())?;
+        state.serialize_field("violations", &self.violations)?;
+        state.serialize_field("first_violation_len", &self.first_violation_len)?;
+        state.end()
+    }
+}
+
+/// The fields of a checkpoint as they sit on disk, before the steps are replayed.
+#[derive(Deserialize)]
+struct SnapshotFile {
+    dms: rdms_core::Dms,
+    bound: usize,
+    invariant: rdms_db::Query,
+    emit_certificates: bool,
+    steps: Vec<rdms_core::Step>,
+    violations: usize,
+    first_violation_len: Option<usize>,
+}
+
+impl<'de> Deserialize<'de> for SessionSnapshot {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
+        let file = SnapshotFile::deserialize(deserializer)?;
+        let run = RecencySemantics::new(&file.dms, file.bound)
+            .execute(&file.steps)
+            .map_err(|e| D::Error::custom(format!("a checkpoint step does not replay: {e}")))?;
+        Ok(SessionSnapshot {
+            dms: file.dms,
+            bound: file.bound,
+            invariant: file.invariant,
+            emit_certificates: file.emit_certificates,
+            run,
+            violations: file.violations,
+            first_violation_len: file.first_violation_len,
+        })
+    }
 }
 
 /// Atomically write a session's checkpoint beside its journal: temp file, fsync, rename,
@@ -483,11 +544,13 @@ pub fn write_snapshot(dir: &Path, session: u64, snapshot: &SessionSnapshot) -> i
     Ok(())
 }
 
-/// Read a checkpoint back; `None` for a missing or undecodable file (recovery falls back
-/// to full journal replay in both cases).
+/// Read a checkpoint back; `None` for a missing or undecodable file, a step that does not
+/// replay, or a checkpoint in the older every-configuration form (recovery falls back to
+/// full journal replay in all these cases). Decoding runs under `catch_unwind`, like
+/// journal replay, so no checkpoint bytes can take recovery down.
 pub fn read_snapshot(path: &Path) -> Option<SessionSnapshot> {
     let json = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&json).ok()
+    catch_unwind(|| serde_json::from_str(&json).ok()).ok()?
 }
 
 /// A session restored from a journal at boot, parked until a client `Resume`s it.
@@ -525,8 +588,11 @@ pub fn recover_file(path: &Path) -> io::Result<Option<RecoveredSession>> {
     // prefer the drain checkpoint when one is present and consistent: rebuild from the
     // snapshot and replay only the journal records past it, so a reboot under a long
     // session costs the suffix since the last drain instead of the whole session
-    if let Some(snapshot) = read_snapshot(&checkpoint_path(path)) {
-        if let Some((session, replayed)) = resume_with_suffix(snapshot, &parsed.records) {
+    let checkpoint = checkpoint_path(path);
+    if checkpoint.exists() {
+        let resumed = read_snapshot(&checkpoint)
+            .and_then(|snapshot| resume_with_suffix(snapshot, &parsed.records));
+        if let Some((session, replayed)) = resumed {
             return Ok(Some(RecoveredSession {
                 session,
                 path: path.to_path_buf(),
@@ -535,9 +601,11 @@ pub fn recover_file(path: &Path) -> io::Result<Option<RecoveredSession>> {
                 from_checkpoint: true,
             }));
         }
+        // an older-format, corrupt or tampered checkpoint lands here as well as an
+        // inconsistent one: the operator sees why this boot replays in full
         eprintln!(
-            "rdms-serve: checkpoint beside {} is inconsistent with its journal, \
-             falling back to full replay",
+            "rdms-serve: checkpoint beside {} does not decode or is inconsistent with its \
+             journal, falling back to full replay",
             path.display()
         );
     }
@@ -725,6 +793,8 @@ pub fn journal_error(e: &io::Error) -> (ErrorCode, String) {
 mod tests {
     use super::*;
     use rdms_core::dms::example_3_1;
+    use rdms_core::Step;
+    use rdms_db::{DataValue, Substitution, Var};
 
     fn alpha(base: u64) -> JournalRecord {
         JournalRecord::Check {
@@ -982,15 +1052,34 @@ mod tests {
     #[test]
     fn snapshots_round_trip_through_disk() {
         let dir = test_dir("snapshot-roundtrip");
-        let (session, _) = replay(&[open(), alpha(1), alpha(4)]).unwrap();
+        let (session, _) = replay(&violating_records()).unwrap();
         let snapshot = session.snapshot();
+        assert_eq!(snapshot.run.len(), 3);
+        assert!(snapshot.violations > 0);
         write_snapshot(&dir, 7, &snapshot).unwrap();
 
         let back = read_snapshot(&dir.join(checkpoint_file_name(7))).unwrap();
+        assert_eq!(back.run, snapshot.run, "every configuration, by value");
+        assert!(!back.run.ptr_eq(&snapshot.run), "rebuilt, not shared");
+        assert_eq!(back.dms, snapshot.dms);
         assert_eq!(back.bound, snapshot.bound);
-        assert_eq!(back.run.len(), 2);
+        assert_eq!(back.invariant, snapshot.invariant);
+        assert_eq!(back.emit_certificates, snapshot.emit_certificates);
         assert_eq!(back.violations, snapshot.violations);
         assert_eq!(back.first_violation_len, snapshot.first_violation_len);
+
+        // the file holds the steps, not the configurations
+        let json = std::fs::read_to_string(dir.join(checkpoint_file_name(7))).unwrap();
+        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let fields: Vec<&str> = value
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        assert!(fields.contains(&"steps"));
+        assert!(!fields.contains(&"run"));
+
         // a missing or mangled file reads as None, never a panic
         assert!(read_snapshot(&dir.join("no-such.checkpoint")).is_none());
         std::fs::write(dir.join(checkpoint_file_name(8)), b"{not json").unwrap();
@@ -1042,6 +1131,174 @@ mod tests {
         assert_eq!(recovered.replayed, 2);
         assert_eq!(recovered.session.transactions(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `beta` consuming `u` and taking `fresh`, `fresh + 1` as its two new values.
+    fn beta(u: u64, fresh: u64) -> JournalRecord {
+        JournalRecord::Check {
+            action: "beta".into(),
+            bindings: BTreeMap::from([
+                ("u".to_string(), u),
+                ("v1".to_string(), fresh),
+                ("v2".to_string(), fresh + 1),
+            ]),
+        }
+    }
+
+    /// A journal under a violated invariant: `alpha` twice, then `beta` on the most
+    /// recent `R` value (`e5`, inside the bound-2 window `{e5, e6}`).
+    fn violating_records() -> Vec<JournalRecord> {
+        vec![
+            open_record(&example_3_1(), 2, "!exists u. Q(u)", false),
+            alpha(1),
+            alpha(4),
+            beta(5, 7),
+        ]
+    }
+
+    fn write_journal(dir: &Path, records: &[JournalRecord]) -> PathBuf {
+        let mut journal = Journal::create(dir, 7, &records[0], 2).unwrap();
+        for record in &records[1..] {
+            journal.append(record);
+        }
+        drop(journal);
+        dir.join(journal_file_name(7))
+    }
+
+    /// Recovery fell back to full replay and landed on the uninterrupted session.
+    fn assert_full_replay(path: &Path, records: &[JournalRecord]) {
+        let (uninterrupted, replayed) = replay(records).unwrap();
+        assert_eq!(
+            replayed,
+            records.len() - 1,
+            "every journaled transaction replays"
+        );
+        let recovered = recover_file(path).unwrap().unwrap();
+        assert!(!recovered.from_checkpoint);
+        assert_eq!(recovered.replayed, replayed);
+        assert_eq!(
+            recovered.session.transactions(),
+            uninterrupted.transactions()
+        );
+        assert_eq!(recovered.session.violations(), uninterrupted.violations());
+        assert_eq!(
+            recovered.session.checker().first_violation(),
+            uninterrupted.checker().first_violation()
+        );
+    }
+
+    #[test]
+    fn an_old_form_checkpoint_is_ignored_and_recovery_replays_in_full() {
+        let dir = test_dir("checkpoint-old-form");
+        let records = violating_records();
+        let path = write_journal(&dir, &records);
+
+        // the earlier on-disk form: every configuration of the run under `run`
+        #[derive(Serialize)]
+        struct OldForm {
+            dms: rdms_core::Dms,
+            bound: usize,
+            invariant: rdms_db::Query,
+            emit_certificates: bool,
+            run: rdms_core::ExtendedRun,
+            violations: usize,
+            first_violation_len: Option<usize>,
+        }
+        let (session, _) = replay(&records).unwrap();
+        let snapshot = session.snapshot();
+        let old = OldForm {
+            dms: snapshot.dms,
+            bound: snapshot.bound,
+            invariant: snapshot.invariant,
+            emit_certificates: snapshot.emit_certificates,
+            run: snapshot.run,
+            violations: snapshot.violations,
+            first_violation_len: snapshot.first_violation_len,
+        };
+        let checkpoint = dir.join(checkpoint_file_name(7));
+        std::fs::write(&checkpoint, serde_json::to_string(&old).unwrap()).unwrap();
+
+        assert!(read_snapshot(&checkpoint).is_none());
+        assert_full_replay(&path, &records);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_tampered_step_falls_back_to_full_replay() {
+        let records = violating_records();
+        let (session, _) = replay(&records).unwrap();
+        let good = session.snapshot();
+        let checkpoint_steps = |tampered: Step| {
+            let mut snapshot = good.clone();
+            // `push` is unchecked: only the step label reaches the file
+            snapshot.run = good.run.prefix(2);
+            snapshot.run.push(tampered, good.run.last().clone());
+            snapshot
+        };
+        let beta_on = |u: u64| {
+            let subst = Substitution::from_pairs([
+                (Var::new("u"), DataValue::e(u)),
+                (Var::new("v1"), DataValue::e(7)),
+                (Var::new("v2"), DataValue::e(8)),
+            ]);
+            Step::new(1, subst)
+        };
+        assert_eq!(good.run.steps()[2], &beta_on(5), "the untampered step");
+        let tampered = [
+            ("out-of-range action", Step::new(99, Substitution::empty())),
+            // `e1` is in `R` (so beta's guard holds) but outside Recent_2 = {e5, e6}
+            ("parameter outside the recency window", beta_on(1)),
+        ];
+        for (what, step) in tampered {
+            let dir = test_dir("checkpoint-tampered");
+            let path = write_journal(&dir, &records);
+            let checkpoint = dir.join(checkpoint_file_name(7));
+
+            write_snapshot(&dir, 7, &checkpoint_steps(beta_on(5))).unwrap();
+            assert!(read_snapshot(&checkpoint).is_some(), "control: {what}");
+            write_snapshot(&dir, 7, &checkpoint_steps(step)).unwrap();
+            assert!(read_snapshot(&checkpoint).is_none(), "{what}");
+            assert_full_replay(&path, &records);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn checkpoint_size_grows_linearly_with_the_run() {
+        use rdms_workloads::audit;
+        use rdms_workloads::streams::{wire_transaction, TransactionStream};
+        const STREAMS: usize = 3;
+        const N: usize = 128;
+        let dms = Arc::new(audit::dms(STREAMS));
+        let script: Vec<_> =
+            TransactionStream::new(Arc::clone(&dms), audit::recency_bound(STREAMS), 7)
+                .take(2 * N)
+                .map(|step| wire_transaction(&dms, &step))
+                .collect();
+        let mut session = Session::open(
+            audit::dms(STREAMS),
+            audit::recency_bound(STREAMS),
+            "init | exists u. S0(u)",
+            false,
+        )
+        .unwrap();
+        let mut bytes_at = BTreeMap::new();
+        for (i, (action, bindings)) in script.iter().enumerate() {
+            assert!(matches!(
+                session.check(action, bindings),
+                crate::session::CheckOutcome::Ok { .. }
+            ));
+            if i + 1 == N || i + 1 == 2 * N {
+                let json = serde_json::to_string(&session.snapshot()).unwrap();
+                bytes_at.insert(i + 1, json.len());
+            }
+        }
+        let (n, two_n) = (bytes_at[&N], bytes_at[&(2 * N)]);
+        assert!(
+            two_n as f64 <= 2.3 * n as f64,
+            "checkpoint bytes at depth {}: {two_n}, at depth {N}: {n}",
+            2 * N
+        );
     }
 
     #[test]

@@ -311,7 +311,10 @@ pub fn write_message<W: Write, T: Serialize>(writer: &mut W, message: &T) -> io:
     write_frame(writer, json.as_bytes())
 }
 
-/// Write one frame: 4-byte big-endian length, then the payload, then flush.
+/// Write one frame: 4-byte big-endian length, then the payload, then flush. Header and
+/// payload go out in **one** `write_all` of a single buffer: two writes would put the
+/// 4-byte header on the wire as a segment of its own on a `TCP_NODELAY` socket, once per
+/// request and once per response.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         io::Error::new(
@@ -319,8 +322,10 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
             "frame payload exceeds the u32 length prefix",
         )
     })?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -611,6 +616,44 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(decode_response(&frames[0]).unwrap(), Response::Pong);
         assert_eq!(frames[1], b"{}");
+    }
+
+    /// A writer that accepts everything and counts the `write` calls it was handed.
+    #[derive(Default)]
+    struct CountingWriter {
+        data: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.data.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut writer = CountingWriter::default();
+        write_frame(&mut writer, b"hello").unwrap();
+        assert_eq!(writer.writes, 1);
+        write_message(&mut writer, &Response::Pong).unwrap();
+        assert_eq!(writer.writes, 2);
+        write_frame(&mut writer, b"").unwrap();
+        assert_eq!(writer.writes, 3);
+
+        // the single buffer is still a well-formed frame stream
+        let mut reader = FrameReader::new(Cursor::new(writer.data), 1024);
+        assert_eq!(reader.poll_frame().unwrap().unwrap(), b"hello");
+        let pong = reader.poll_frame().unwrap().unwrap();
+        assert_eq!(decode_response(&pong).unwrap(), Response::Pong);
+        assert_eq!(reader.poll_frame().unwrap().unwrap(), Vec::<u8>::new());
+        assert!(reader.poll_frame().unwrap().is_none());
     }
 
     #[test]

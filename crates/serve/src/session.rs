@@ -133,11 +133,14 @@ impl Session {
         })
     }
 
-    /// Rebuild a session from a drain checkpoint **without re-validating its
-    /// transitions** (see [`SessionSnapshot`] for when this is sound; the journal replay
-    /// path stays the fallback that validates everything). Limits, deadline and journal
-    /// are not part of the snapshot — the caller re-applies the server's current
-    /// configuration, exactly as on `Resume`.
+    /// Rebuild a session from a drain checkpoint **without re-evaluating the invariant**
+    /// or re-validating its transitions here: a snapshot from [`snapshot`](Self::snapshot)
+    /// holds the live session's own run, and one decoded from a checkpoint file had every
+    /// step re-validated while decoding (the file stores the accepted steps and the
+    /// decoder replays them; see [`SessionSnapshot`]). The journal replay path stays the
+    /// fallback that validates everything. Limits, deadline and journal are not part of
+    /// the snapshot — the caller re-applies the server's current configuration, exactly
+    /// as on `Resume`.
     pub fn resume(snapshot: SessionSnapshot) -> Result<Session, OpenError> {
         let checker = IncrementalChecker::resume(
             Arc::new(snapshot.dms),
